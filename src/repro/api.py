@@ -288,9 +288,10 @@ class Simulation:
         table is available via :meth:`ScatterRun.latency_breakdown`.
     engine:
         Scheduler backend: ``"event"`` (default, wake/sleep event-driven),
-        ``"columnar"`` (event scheduler plus array-at-a-time hot paths --
-        bit-identical results, see docs/ARCHITECTURE.md), or ``"legacy"``
-        (tick-every-component reference).  ``None`` selects the default.
+        ``"fastforward"`` (event stepping plus analytic collapse of
+        uniform-memory windows -- bit-identical results, see
+        docs/ARCHITECTURE.md), or ``"legacy"`` (tick-every-component
+        reference).  ``None`` selects the default.
 
     Every :meth:`run` builds a fresh processor (runs are independent and
     deterministic); the configuration and tuning knobs are shared.

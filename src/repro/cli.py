@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.config import MachineConfig
 from repro.core.area import AreaModel
+from repro.sim.engine import SCHEDULERS
 
 #: Experiment name -> zero-argument callable (resolved lazily to keep CLI
 #: startup fast).
@@ -296,10 +297,15 @@ BENCH_WALL_SLACK = 0.05  # seconds
 
 #: Version of the bench report layout.  Bumped whenever the schema or the
 #: timing protocol changes incompatibly (2: median-of-N timing with a
-#: warm-up pass, recorded engine list, per-workload speedup floors), so a
-#: stale committed baseline fails ``--check`` loudly instead of silently
-#: comparing incomparable numbers.
-BENCH_SCHEMA = "repro.bench/2"
+#: warm-up pass, recorded engine list, per-workload speedup floors; 3: the
+#: engine set is event, legacy and fastforward, with one speedup column
+#: each for event and fastforward), so a stale committed baseline fails
+#: ``--check`` loudly instead of silently comparing incomparable numbers.
+BENCH_SCHEMA = "repro.bench/3"
+
+#: ``bench --engine`` choices: one stepping engine, or ``all`` of
+#: :data:`~repro.sim.engine.SCHEDULERS` (the legacy reference included).
+BENCH_ENGINES = tuple(s for s in SCHEDULERS if s != "legacy") + ("all",)
 
 
 def check_bench_regression(results, baseline,
@@ -399,18 +405,12 @@ def _cmd_bench(args):
     import statistics
     import time
 
-    from repro.sim.engine import SCHEDULERS, use_scheduler
+    from repro.sim.engine import use_scheduler
 
     if args.repeats < 1:
         raise SystemExit("bench: --repeats must be at least 1 "
                          "(got %d)" % args.repeats)
-    engines = {
-        "event": ("event",),
-        "columnar": ("columnar",),
-        "fastforward": ("fastforward",),
-        "both": ("event", "columnar"),
-        "all": SCHEDULERS,
-    }[args.engine]
+    engines = SCHEDULERS if args.engine == "all" else (args.engine,)
     # Flags the user leaves unset fall back to the bench's default
     # multi-node case (radix-4 tree, 8 nodes, combining everywhere).
     network = _validate_network_args(
@@ -447,10 +447,6 @@ def _cmd_bench(args):
         if "legacy" in entry and "event" in entry:
             entry["speedup"] = (entry["event"]["cycles_per_second"]
                                 / entry["legacy"]["cycles_per_second"])
-        if "event" in entry and "columnar" in entry:
-            entry["columnar_speedup"] = (
-                entry["columnar"]["cycles_per_second"]
-                / entry["event"]["cycles_per_second"])
         if "event" in entry and "fastforward" in entry:
             entry["fastforward_speedup"] = (
                 entry["fastforward"]["cycles_per_second"]
@@ -461,8 +457,6 @@ def _cmd_bench(args):
                      for s in engines)
         if "speedup" in entry:
             cells.append("event/legacy %.2fx" % entry["speedup"])
-        if "columnar_speedup" in entry:
-            cells.append("columnar/event %.2fx" % entry["columnar_speedup"])
         if "fastforward_speedup" in entry:
             cells.append("fastforward/event %.2fx"
                          % entry["fastforward_speedup"])
@@ -702,10 +696,9 @@ def build_parser():
                        help="small inputs for CI (seconds, not minutes)")
     bench.add_argument(
         "--engine", default="all",
-        choices=("event", "columnar", "fastforward", "both", "all"),
-        help="which engines to time: a single engine, 'both' "
-             "(event+columnar), or 'all' (every registered scheduler, "
-             "legacy reference included)")
+        choices=BENCH_ENGINES,
+        help="which engines to time: a single engine, or 'all' (every "
+             "registered scheduler, legacy reference included)")
     bench.add_argument("--repeats", type=int, default=3,
                        help="timed repetitions per case after one warm-up "
                             "run (the median is kept)")
@@ -786,7 +779,7 @@ def build_parser():
     submit.add_argument("--range", type=int, default=2048)
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--engine", default=None,
-                        choices=("event", "columnar", "legacy"))
+                        choices=SCHEDULERS)
     submit.add_argument("--sample-every", type=int, default=0, metavar="N",
                         help="sample timelines every N cycles (the obs "
                              "windows stream on the job's events feed)")

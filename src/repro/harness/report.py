@@ -48,11 +48,6 @@ def engine_summary(stats):
     `stats` is a :class:`~repro.sim.stats.Stats` (or plain mapping) holding
     the counters recorded by ``Stats.record_engine``.  Returns ``""`` when
     no engine counters are present (e.g. a run that never called it).
-
-    Under the columnar engine a second segment reports the
-    ``sim.columnar.*`` batching family: bursts executed, per-cycle events
-    folded into them, acknowledgements coalesced, and how many ticks fell
-    back to the exact scalar path.
     """
     values = stats if isinstance(stats, dict) else stats.as_dict()
     engine = {key[len("engine."):]: value for key, value in values.items()
@@ -67,8 +62,6 @@ def engine_summary(stats):
     total_ticks = ticks + idle_ticks
     if engine.get("scheduler_fastforward"):
         name = "fastforward"
-    elif engine.get("scheduler_columnar"):
-        name = "columnar"
     elif engine.get("scheduler_event"):
         name = "event"
     else:
@@ -85,19 +78,6 @@ def engine_summary(stats):
     if name == "fastforward":
         line += "; %d uniform windows collapsed analytically" % (
             engine.get("windows_collapsed", 0),)
-    columnar = {key[len("sim.columnar."):]: value
-                for key, value in values.items()
-                if key.startswith("sim.columnar.")}
-    if name in ("columnar", "fastforward") and columnar:
-        line += (
-            "; columnar: %d bursts (%d events batched, %d acks coalesced, "
-            "%d scalar fallbacks)" % (
-                columnar.get("bursts", 0),
-                columnar.get("batched_events", 0),
-                columnar.get("acks_batched", 0),
-                columnar.get("scalar_fallbacks", 0),
-            )
-        )
     return line
 
 

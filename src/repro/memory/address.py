@@ -9,8 +9,6 @@ the *hot bank effect* of Figure 7 when the index range is small.
 DRAM channels are interleaved the same way at line granularity.
 """
 
-import numpy as np
-
 
 def line_of(addr, line_words):
     """Cache-line index containing word address `addr`."""
@@ -40,30 +38,3 @@ def node_of(addr, nodes, words_per_node):
     home block belongs to a different node.
     """
     return min(addr // words_per_node, nodes - 1)
-
-
-# --------------------------------------------------------------------- #
-# Array-at-a-time decode (columnar engine)
-# --------------------------------------------------------------------- #
-# The scalar helpers above run once per request; the columnar batch paths
-# decode a whole window of requests in one numpy pass.  Each returns an
-# int64 ndarray aligned with `addrs`.
-
-def decode_lines(addrs, line_words):
-    """Cache-line index of every word address in `addrs` (vectorized)."""
-    return np.floor_divide(np.asarray(addrs, dtype=np.int64), line_words)
-
-
-def decode_banks(addrs, banks, line_words):
-    """Owning cache bank of every address in `addrs` (line-interleaved)."""
-    return np.remainder(decode_lines(addrs, line_words), banks)
-
-
-def decode_channels(addrs, channels, line_words):
-    """Owning DRAM channel of every address in `addrs` (line-interleaved)."""
-    return np.remainder(decode_lines(addrs, line_words), channels)
-
-
-def decode_rows(addrs, row_words):
-    """DRAM row of every word address in `addrs` (vectorized)."""
-    return np.floor_divide(np.asarray(addrs, dtype=np.int64), row_words)

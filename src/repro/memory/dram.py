@@ -15,11 +15,8 @@ latency/throughput structure the Section 4.4 sensitivity studies use.
 import heapq
 from collections import deque
 
-import numpy as np
-
-from repro.memory.address import channel_of, decode_channels, decode_rows
+from repro.memory.address import channel_of
 from repro.memory.request import OP_READ, OP_WRITE, MemoryResponse
-from repro.sim.columns import maxplus_scan
 from repro.sim.engine import Component
 
 
@@ -179,31 +176,16 @@ class DRAMSystem(_MemoryEndpoint):
         self._complete_due(now)
         # Route arrived requests to their home channel (one per channel/cycle
         # of routing bandwidth, which never binds in practice).  Channel and
-        # row decode happen here; with several arrivals under the columnar
-        # engine the whole batch decodes in one vectorized pass (batched
-        # row-hit classification feeding the per-channel schedulers).
-        pending = len(self.req_in)
+        # row decode happen here, so the schedulers compare rows only.
         routed = 0
-        if pending > 1 and getattr(self._sim, "columnar", False):
-            count = min(pending, self.channels)
-            requests = [self.req_in.pop() for _ in range(count)]
-            addrs = [request.addr for request in requests]
-            homes = decode_channels(addrs, self.channels,
-                                    self.line_words).tolist()
-            rows = (decode_rows(addrs, self.row_words).tolist()
-                    if self.row_model else [None] * count)
-            for request, channel, row in zip(requests, homes, rows):
-                self._channel_queues[channel].append((request, row))
-            routed = count
-        else:
-            while len(self.req_in) and routed < self.channels:
-                request = self.req_in.pop()
-                channel = channel_of(request.addr, self.channels,
-                                     self.line_words)
-                row = (request.addr // self.row_words
-                       if self.row_model else None)
-                self._channel_queues[channel].append((request, row))
-                routed += 1
+        while len(self.req_in) and routed < self.channels:
+            request = self.req_in.pop()
+            channel = channel_of(request.addr, self.channels,
+                                 self.line_words)
+            row = (request.addr // self.row_words
+                   if self.row_model else None)
+            self._channel_queues[channel].append((request, row))
+            routed += 1
         # Start one transaction per idle channel.
         for channel in range(self.channels):
             queue = self._channel_queues[channel]
@@ -242,57 +224,6 @@ class DRAMSystem(_MemoryEndpoint):
         if wake is not None and wake <= now:
             wake = now + 1
         return wake
-
-    def uniform_window_ready(self):
-        """True when no DRAM state can perturb a uniform window.
-
-        Any queued, transiting or blocked transaction -- or a pending
-        response retry -- means service order still depends on future
-        cycle-by-cycle arbitration, so a fast-forward window may not
-        start.  (Channel ``free_at`` marks and open rows are pure
-        history: they constrain the *next* transaction analytically and
-        do not disqualify a window.)
-        """
-        return (self.req_in.idle and not self._due and not self._retry
-                and not any(self._channel_queues))
-
-    def open_row_burst(self, releases, words=1, first_is_miss=False,
-                       free_at=0):
-        """Closed-form FR-FCFS service of a same-row burst on one channel.
-
-        `releases` are the cycles at which each transaction becomes
-        schedulable (FIFO commit cycles), sorted ascending.  While every
-        transaction targets the channel's open row, FR-FCFS never
-        reorders, each transfer occupies the channel for
-        ``words * interval`` cycles, and each access pays the row-hit
-        latency -- so the start schedule is the
-        :func:`~repro.sim.columns.maxplus_scan` of the releases with the
-        occupancy as the gap.  `first_is_miss` models the row-transition
-        boundary: the first access pays the miss latency *and* occupies
-        the channel for the extra precharge/activate cycles, after which
-        the row is open for the rest of the burst.  Returns ``(starts,
-        completions)`` as int64 arrays, bit-identical to stepping
-        :meth:`tick` over the same single-channel traffic.
-        """
-        releases = np.asarray(releases, dtype=np.int64)
-        if releases.size == 0:
-            return releases.copy(), releases.copy()
-        if not self.row_model:
-            first_is_miss = False
-        occupied = np.int64(words * self.interval)
-        hit_access = self.hit_latency if self.row_model else self.latency
-        first_access = self.miss_latency if first_is_miss else hit_access
-        first_occupied = occupied + (first_access - hit_access)
-        first_start = max(int(releases[0]), int(free_at))
-        rest_starts = maxplus_scan(
-            releases[1:], occupied,
-            init=first_start + int(first_occupied) - int(occupied))
-        starts = np.empty(releases.size, dtype=np.int64)
-        starts[0] = first_start
-        starts[1:] = rest_starts
-        completions = starts + words * self.interval + hit_access
-        completions[0] = first_start + words * self.interval + first_access
-        return starts, completions
 
     @property
     def busy(self):
@@ -340,59 +271,15 @@ class UniformMemory(_MemoryEndpoint):
             self._schedule(request, now + transfer + self.latency)
             self._m_busy_cycles.inc(transfer)
 
-    def columnar_fusable(self):
-        """True when a fused ingest would be order-exact right now.
+    def uniform_window_ready(self):
+        """True when no memory state can perturb a uniform window.
 
-        Fusion bypasses the input FIFO entirely, so it is only valid
-        while no request is transiting the scalar path: the FIFO must be
-        idle (phantoms included) and no in-flight transaction or blocked
-        response may be pending -- otherwise apply/response order could
-        invert.
+        The fixed-function memory has no rows or banks, so the only state
+        that can perturb a fast-forward window is a transiting request or
+        a blocked response.  (``_free_at``/``_last_start`` are analytic
+        history, honoured by the fast-forward recurrence.)
         """
         return self.req_in.idle and not self._due and not self._retry
-
-    def uniform_window_ready(self):
-        """Uniform-window predicate: same condition as fusability.
-
-        The fixed-function memory has no rows or banks, so the only
-        state that can perturb a window is a transiting request or a
-        blocked response -- exactly what :meth:`columnar_fusable`
-        excludes.  (``_free_at``/``_last_start`` are analytic history,
-        honoured by the fast-forward recurrence.)
-        """
-        return self.columnar_fusable()
-
-    def columnar_ingest(self, request, commit_cycle):
-        """Account one transaction exactly as the scalar path would.
-
-        `commit_cycle` is the cycle the request would have committed into
-        the input FIFO (push cycle + 1).  Returns ``(value, done)`` where
-        `done` is the cycle the scalar model would apply the request and
-        push its response (the response is then *visible* to a popper at
-        ``done + 1``).  The functional effect is applied immediately --
-        order-exact because callers only fuse while
-        :meth:`columnar_fusable` holds, which makes ingest order equal
-        transaction start order equal scalar apply order.
-
-        The caller owns response delivery (a timed push, or direct
-        consumption by a fused scatter-add unit) and must keep the engine
-        non-quiescent through `done` (``schedule_fence``).
-        """
-        start = commit_cycle if commit_cycle > self._free_at else self._free_at
-        if start <= self._last_start:
-            # The scalar model pops at most one request per tick, so
-            # transaction starts are strictly increasing even when the
-            # channel interval would allow same-cycle starts.
-            start = self._last_start + 1
-        transfer = request.words * self.interval
-        self._free_at = start + transfer
-        self._last_start = start
-        done = start + transfer + self.latency
-        if request.trace is not None:
-            request.trace.leg(self.name, "dram.queue", start)
-            request.trace.leg(self.name, "dram.burst", done)
-        self._m_busy_cycles.inc(transfer)
-        return self._apply_functional(request), done
 
     def next_wake(self, now):
         if self._retry:

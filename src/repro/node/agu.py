@@ -18,7 +18,6 @@ from repro.memory.request import (
     OP_WRITE,
     MemoryRequest,
 )
-from repro.sim.columns import AckBatch
 from repro.sim.engine import Component
 
 _KIND_TO_OP = {
@@ -92,7 +91,6 @@ class AddressGeneratorUnit(Component):
         super().__init__(name)
         self.stats = stats
         self.tracer = tracer
-        self.pool = None  # shared RequestPool when the engine is columnar
         self.width = config.agu_words_per_cycle
         # Typed metric handles (see repro.obs.metrics): one per-AGU refs
         # counter plus the shared memory-system total.
@@ -118,20 +116,6 @@ class AddressGeneratorUnit(Component):
     def idle(self):
         return self._current is None and not self._queue
 
-    @property
-    def issue_idle(self):
-        """True when no further requests will be issued before `start`.
-
-        Unlike :attr:`idle` this stays True while the AGU merely waits
-        for outstanding acknowledgements -- the columnar scatter-add unit
-        uses it (together with empty output FIFOs) to prove that no new
-        request can arrive for the rest of the run.
-        """
-        if self._queue:
-            return False
-        op = self._current
-        return op is None or self._next_index >= len(op)
-
     def tick(self, now):
         self._collect_acks(now)
         if self._current is None and self._queue:
@@ -144,25 +128,17 @@ class AddressGeneratorUnit(Component):
             return
         issued = 0
         total = len(op)
-        pool = self.pool
         while (self._next_index < total and issued < self.width
                and self.out.can_push()):
             index = self._next_index
-            if pool is not None:
-                request = pool.acquire(
-                    op.op, op.addrs[index], value=op.value_at(index),
-                    reply_to=self.ack_in, tag=(op, index),
-                    combining=op.combining, now=now,
-                )
-            else:
-                request = MemoryRequest(
-                    op.op,
-                    op.addrs[index],
-                    value=op.value_at(index),
-                    reply_to=self.ack_in,
-                    tag=(op, index),
-                    combining=op.combining,
-                )
+            request = MemoryRequest(
+                op.op,
+                op.addrs[index],
+                value=op.value_at(index),
+                reply_to=self.ack_in,
+                tag=(op, index),
+                combining=op.combining,
+            )
             if self.tracer is not None:
                 request.trace = self.tracer.maybe_trace(
                     request.op, request.addr, now)
@@ -190,19 +166,14 @@ class AddressGeneratorUnit(Component):
 
     def _collect_acks(self, now):
         while len(self.ack_in):
-            popped = self.ack_in.pop()
-            if isinstance(popped, AckBatch):
-                responses = popped.responses
-            else:
-                responses = (popped,)
-            for response in responses:
-                if response.trace is not None:
-                    response.trace.leg(self.name, "reply", now)
-                    response.trace.finish(now)
-                op, index = response.tag
-                if op.result is not None:
-                    op.result[index] = response.value
-                self._acked += 1
+            response = self.ack_in.pop()
+            if response.trace is not None:
+                response.trace.leg(self.name, "reply", now)
+                response.trace.finish(now)
+            op, index = response.tag
+            if op.result is not None:
+                op.result[index] = response.value
+            self._acked += 1
 
     @property
     def busy(self):

@@ -13,7 +13,6 @@ from repro.node.cluster import ClusterArray
 from repro.node.memsys import MemorySystem
 from repro.node.program import StreamProgram
 from repro.obs import session as obs_session
-from repro.sim.columns import ColumnarMetrics, RequestPool
 from repro.sim.engine import Simulator
 from repro.sim.fastforward import PipelineFastForward
 from repro.sim.stats import Stats
@@ -81,30 +80,6 @@ class StreamProcessor:
             memory=memory, chaining=chaining, trace=trace, tracer=tracer,
         )
         self.clusters = ClusterArray(config, self.stats)
-        self._pool = None
-        if self.sim.columnar:
-            # Columnar wiring: a shared request pool on the uniform-memory
-            # fast path, and an upstream-quiet oracle that lets scatter-add
-            # bursts run unbounded once all AGUs have issued everything.
-            agus = self.agus
-            outs = [agu.out for agu in agus]
-
-            def upstream_quiet():
-                for agu in agus:
-                    if not agu.issue_idle:
-                        return False
-                for out in outs:
-                    if not out.idle:
-                        return False
-                return True
-
-            if config.memory_model == "uniform":
-                self._pool = RequestPool(256)
-                for agu in agus:
-                    agu.pool = self._pool
-            for unit in self.memsys.units:
-                unit.attach_columnar(upstream_quiet=upstream_quiet,
-                                     pool=self._pool)
         self._fastforward = None
         if self.sim.fastforward and config.memory_model == "uniform":
             self._fastforward = PipelineFastForward(
@@ -160,16 +135,12 @@ class StreamProcessor:
         end = None
         if self._fastforward is not None:
             # Analytic window collapse; None declines (observation hooks,
-            # unsupported traffic shape) and falls through to the stepped
-            # columnar engine, which is burst-exact under observation.
+            # unsupported traffic shape) and falls through to event
+            # stepping.
             end = self._fastforward.attempt()
         if end is None:
             end = self.sim.run()
         self.stats.record_engine(self.sim)
-        if self._pool is not None:
-            self.stats.registry.gauge(
-                ColumnarMetrics.PREFIX + ".pool_high_water"
-            ).maximum(self._pool.high_water)
         if self.obs_scope is not None:
             # Capture the final partial timeline window (and any sampler
             # state) at the phase's quiescent cycle.

@@ -105,8 +105,8 @@ class ObservationScope:
                                        name=self.label + ".sampler")
         self.sim.register(self.sampler)
         # Live probes read intermediate state at window boundaries, which
-        # columnar fast paths would pre-execute past; they fall back to
-        # exact scalar ticking while a sampler is attached.
+        # fast-forward window collapse would jump over; it declines while
+        # a sampler is attached.
         self.sim.live_probes = True
 
     def flush_sampler(self, now):

@@ -133,7 +133,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--engine", default=None,
                         help="scheduler engine to pin in the job spec "
-                             "(event, columnar, legacy)")
+                             "(event, legacy, fastforward)")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--log-json", default=None, metavar="FILE",
                         help="have the daemon write its NDJSON job log "

@@ -11,7 +11,7 @@ channels connecting them.  Semantically each simulated cycle:
 The run terminates when every component reports idle and every channel is
 empty, or when an explicit cycle bound is reached.
 
-Two schedulers implement those semantics:
+Three schedulers implement those semantics:
 
 ``"legacy"``
     The literal loop above (:meth:`Simulator.step_all`): every component
@@ -28,29 +28,16 @@ Two schedulers implement those semantics:
     skipped when its tick is provably a no-op (no state change, no stats,
     no pushes).  The golden equivalence suite
     (``tests/sim/test_scheduler_equivalence.py``) enforces bit-identical
-    cycle counts, stats and results between the two schedulers.
-
-``"columnar"``
-    The event scheduler plus *timed channel operations*: a batching
-    component may compute many cycles of its own deterministic future in
-    a single tick (array-at-a-time, see :mod:`repro.sim.columns`) as long
-    as every externally observable effect -- a push into a channel, the
-    capacity/wake bookkeeping of a pop, a functional memory apply -- is
-    registered with the engine at the exact ``(cycle, component order)``
-    point the scalar execution would have produced it.  The engine
-    services those registrations interleaved with ordinary component
-    ticks, so downstream components cannot tell batched execution from
-    scalar execution.  The golden equivalence suite runs all three
-    schedulers against each other.
+    cycle counts, stats and results between the schedulers.
 
 ``"fastforward"``
-    The columnar scheduler plus *window collapse*: when a caller proves a
+    The event scheduler plus *window collapse*: when a caller proves a
     whole span of cycles is uniform (no new arrivals, no structural
     boundary -- see :mod:`repro.sim.fastforward`), it executes the span
     analytically with max-plus recurrences and jumps the clock with
     :meth:`Simulator.collapse_window` instead of stepping at all.  Spans
-    that fail the uniformity predicate fall back to the columnar engine,
-    so equivalence is preserved unconditionally.
+    that fail the uniformity predicate run on plain ``event`` stepping,
+    so equivalence with the event engine holds by construction.
 
 Select a scheduler per :class:`Simulator` (``Simulator(scheduler=...)``),
 process-wide via the ``REPRO_SCHEDULER`` environment variable, or
@@ -61,7 +48,7 @@ import os
 from contextlib import contextmanager
 from heapq import heappop, heappush
 
-SCHEDULERS = ("event", "legacy", "columnar", "fastforward")
+SCHEDULERS = ("event", "legacy", "fastforward")
 
 #: Scheduler used by Simulators constructed without an explicit choice.
 DEFAULT_SCHEDULER = os.environ.get("REPRO_SCHEDULER", "event")
@@ -180,9 +167,9 @@ class Simulator:
         back-pressure cycle in a model under development).
     scheduler:
         ``"event"`` (idle-skip, the default), ``"legacy"`` (tick every
-        component every cycle) or ``"columnar"`` (event plus timed
-        channel operations for array-at-a-time components).  ``None``
-        resolves against :data:`DEFAULT_SCHEDULER`.
+        component every cycle) or ``"fastforward"`` (event plus analytic
+        window collapse).  ``None`` resolves against
+        :data:`DEFAULT_SCHEDULER`.
     """
 
     def __init__(self, max_cycles=200_000_000, scheduler=None):
@@ -199,29 +186,19 @@ class Simulator:
         self._busy_count = 0  # components currently reporting busy
         self._active_channels = 0  # non-idle fifos + pipes
         self._processing_order = -1  # order of the component mid-tick
-        #: Components consult this to enable their columnar fast paths.
-        #: The fastforward scheduler is the columnar engine plus window
-        #: collapse, so the columnar paths stay on for its fallbacks.
-        self.columnar = self.scheduler in ("columnar", "fastforward")
         #: Window-collapse opt-in: :mod:`repro.sim.fastforward` only
         #: attempts analytic execution when this is set.
         self.fastforward = self.scheduler == "fastforward"
         #: Set by the observability layer when live sampling probes are
-        #: installed; columnar fast paths then fall back to scalar ticking
-        #: so intermediate state at window boundaries stays exact.
+        #: installed; window collapse then declines so intermediate state
+        #: at sampling boundaries stays exact.
         self.live_probes = False
-        # Timed channel operations (columnar scheduler): heap of
-        # [cycle, order, seq, kind, target, payload] serviced interleaved
-        # with component ticks at exactly (cycle, order).
-        self._timed = []
-        self._timed_seq = 0
         # Observability counters (surfaced as "engine.*" stats).
         self.ticks_executed = 0
         self.ticks_skipped = 0
         self.cycles_executed = 0
         self.cycles_fast_forwarded = 0
         self.windows_collapsed = 0
-        self.timed_ops_serviced = 0
 
     # ------------------------------------------------------------------ #
     # construction
@@ -269,85 +246,11 @@ class Simulator:
     @property
     def quiescent(self):
         """True when no component or channel holds pending work."""
-        if self._timed:
-            return False
         if any(component.busy for component in self._components):
             return False
         if any(not queue.idle for queue in self._fifos):
             return False
         return all(pipe.idle for pipe in self._pipes)
-
-    # ------------------------------------------------------------------ #
-    # timed channel operations (columnar scheduler)
-    # ------------------------------------------------------------------ #
-    def _schedule_timed(self, cycle, order, kind, target, payload):
-        if order is None:
-            order = self._processing_order
-        self._timed_seq += 1
-        entry = [cycle, order, self._timed_seq, kind, target, payload]
-        heappush(self._timed, entry)
-        return entry
-
-    def schedule_push(self, fifo, item, cycle, order=None):
-        """Commit a push into `fifo` during future `cycle`.
-
-        Exactly as if the component at registration `order` (default: the
-        one currently ticking) had pushed inside its tick at `cycle`: the
-        item stages during `cycle`, commits at the end of it and wakes the
-        FIFO's readers for ``cycle + 1``.  The producer must guarantee
-        capacity (unbounded FIFO or sole-writer reservation); a full FIFO
-        at service time raises, it does not silently retry.
-
-        Returns the heap entry.  A producer that later wants to supersede
-        the push (e.g. to grow an acknowledgement batch) may cancel it by
-        setting ``entry[3] = "dead"`` -- but only while the entry is still
-        pending; a serviced entry is marked ``"dead"`` by the engine, so
-        ``entry[3] == "push"`` is the liveness test.
-        """
-        return self._schedule_timed(cycle, order, "push", fifo, item)
-
-    def schedule_pop_release(self, fifo, cycle, order=None):
-        """Release one :meth:`FIFO.pop_early` phantom slot at `cycle`.
-
-        The capacity accounting and writer wakes of the early pop happen
-        at exactly the ``(cycle, order)`` point the scalar path would
-        have popped, so back-pressure evolution is bit-identical.
-        """
-        return self._schedule_timed(cycle, order, "pop", fifo, None)
-
-    def schedule_call(self, fn, cycle, order=None):
-        """Run ``fn(cycle)`` at `cycle`, ordered like a component tick."""
-        return self._schedule_timed(cycle, order, "call", None, fn)
-
-    def schedule_fence(self, cycle):
-        """Keep the engine non-quiescent (and stepping) through `cycle`.
-
-        Batching components that account future work without leaving it
-        in any channel use a fence so the run terminates at the same
-        cycle scalar execution would.
-        """
-        return self._schedule_timed(cycle, -1, "fence", None, None)
-
-    def _service_timed(self, entry):
-        cycle, order, __, kind, target, payload = entry
-        self.timed_ops_serviced += 1
-        if kind == "push":
-            self._processing_order = order
-            target.push(payload)
-        elif kind == "pop":
-            occupancy = target.occupancy
-            target._phantom -= 1
-            was_full = (target.capacity is not None
-                        and occupancy >= target.capacity)
-            self._processing_order = order
-            self._fifo_popped(target, was_full, target.idle)
-        elif kind == "call":
-            self._processing_order = order
-            payload(cycle)
-        # "fence" and "dead" entries need no action.  Mark the entry
-        # consumed either way, so a producer holding a reference can
-        # distinguish "still pending (supersedable)" from "delivered".
-        entry[3] = "dead"
 
     # ------------------------------------------------------------------ #
     # wake/sleep bookkeeping (event scheduler)
@@ -446,21 +349,8 @@ class Simulator:
         now = self.cycle
         for pipe in self._pipes:
             pipe.advance(now)
-        timed = self._timed
-        if timed:
-            for component in self._components:
-                order = component._order
-                while timed and (timed[0][0] < now or
-                                 (timed[0][0] == now and timed[0][1] <= order)):
-                    self._service_timed(heappop(timed))
-                self._processing_order = order
-                component.tick(now)
-            while timed and timed[0][0] <= now:
-                self._service_timed(heappop(timed))
-            self._processing_order = -1
-        else:
-            for component in self._components:
-                component.tick(now)
+        for component in self._components:
+            component.tick(now)
         for queue in self._fifos:
             queue.sync()
             queue._dirty = False
@@ -478,35 +368,11 @@ class Simulator:
         for pipe in self._pipes:
             pipe.advance(now)
         heap = self._wake_heap
-        timed = self._timed
         ticked = 0
-        while True:
-            # Next valid component wake this cycle (lazy deletion of
-            # entries superseded by an earlier wake).
-            comp_order = None
-            while heap and heap[0][0] == now:
-                if heap[0][2]._wake_sched != heap[0][0]:
-                    heappop(heap)
-                    continue
-                comp_order = heap[0][1]
-                break
-            # Next timed channel operation due now (or overdue, after a
-            # bounded run stopped short of its cycle).
-            timed_order = None
-            while timed and timed[0][0] <= now:
-                if timed[0][3] == "dead":
-                    heappop(timed)
-                    continue
-                timed_order = timed[0][1]
-                break
-            if timed_order is not None and (timed[0][0] < now
-                                            or comp_order is None
-                                            or timed_order <= comp_order):
-                self._service_timed(heappop(timed))
-                continue
-            if comp_order is None:
-                break
+        while heap and heap[0][0] == now:
             __, order, component = heappop(heap)
+            if component._wake_sched != now:
+                continue  # lazy deletion: superseded by an earlier wake
             component._wake_sched = None
             self._processing_order = order
             component.tick(now)
@@ -568,12 +434,8 @@ class Simulator:
     def _run_event(self, bound, until):
         self._arm()
         heap = self._wake_heap
-        timed = self._timed
         while True:
-            while timed and timed[0][3] == "dead":
-                heappop(timed)
-            if (self._busy_count == 0 and self._active_channels == 0
-                    and not timed):
+            if self._busy_count == 0 and self._active_channels == 0:
                 return self.cycle  # quiescent
             if self.cycle >= bound:
                 break
@@ -585,8 +447,6 @@ class Simulator:
                     continue
                 target = cycle
                 break
-            if timed and (target is None or timed[0][0] < target):
-                target = timed[0][0]
             if target is None or target >= bound:
                 # Non-quiescent but nothing scheduled before the bound:
                 # every remaining cycle is a provable no-op; jump to the
@@ -615,21 +475,12 @@ class Simulator:
         The caller (see :mod:`repro.sim.fastforward`) has already produced
         every observable effect of the window -- counters, memory state,
         component end states -- exactly as stepping would have, so the
-        engine merely advances time and accounts the skip.  The window
-        must start from a quiescent engine (no timed operations pending);
-        anything scheduled would silently never be serviced.
+        engine merely advances time and accounts the skip.
         """
         if end_cycle < self.cycle:
             raise ValueError(
                 "collapse_window(%d) would move time backwards from %d"
                 % (end_cycle, self.cycle))
-        timed = self._timed
-        while timed and timed[0][3] == "dead":
-            heappop(timed)
-        if timed:
-            raise SimulationError(
-                "collapse_window with %d timed operations pending; uniform "
-                "windows must start quiescent" % len(timed))
         self.cycles_fast_forwarded += end_cycle - self.cycle
         self.windows_collapsed += 1
         self.cycle = end_cycle
@@ -652,7 +503,6 @@ class Simulator:
         """Scheduler work counters as a plain dict (see ``Stats.record_engine``)."""
         return {
             "scheduler_event": 1 if self.scheduler == "event" else 0,
-            "scheduler_columnar": 1 if self.scheduler == "columnar" else 0,
             "scheduler_fastforward": 1 if self.scheduler == "fastforward"
             else 0,
             "cycles_executed": self.cycles_executed,
@@ -660,5 +510,4 @@ class Simulator:
             "windows_collapsed": self.windows_collapsed,
             "ticks_executed": self.ticks_executed,
             "ticks_skipped": self.ticks_skipped,
-            "timed_ops": self.timed_ops_serviced,
         }

@@ -8,9 +8,8 @@ completion, a value-token return, a head-of-line block forming or
 clearing) nothing in the model changes: every component's tick is
 provably a no-op.  The occupancy evolution of such a window is a (max,+)
 linear system, so the whole run can be executed by visiting only the
-event cycles and jumping over the frozen gaps -- the window algebra the
-columnar engine's per-burst event scheduling pays Python heap overhead
-for, computed here in one flat replay loop with no engine involvement.
+event cycles and jumping over the frozen gaps, in one flat replay loop
+with no engine involvement.
 
 :class:`PipelineFastForward` implements that as *plan-then-commit*:
 
@@ -18,11 +17,10 @@ for, computed here in one flat replay loop with no engine involvement.
    start from a fully quiescent pipeline -- empty FIFOs, empty combining
    store (no insert/evict boundary, see
    :meth:`~repro.core.combining_store.CombiningStore.window_uniform`),
-   idle FU, fusable memory (no DRAM transaction in flight), no pending
-   timed engine operations, no observation hooks (live probes, request
-   tracing and the event tracelog read intermediate state at exact
-   cycles, so observed runs take the columnar fallback, which is
-   burst-exact).  Anything unsupported declines, mutating nothing.
+   idle FU, idle memory (no transaction in flight), no observation hooks
+   (live probes, request tracing and the event tracelog read
+   intermediate state at exact cycles, so observed runs are stepped).
+   Anything unsupported declines, mutating nothing.
 2. **Visited-cycle replay** (:meth:`_replay`): handlers replicate the
    per-component tick semantics in exact registration order (AGUs,
    memory, scatter-add unit, router) at each visited cycle; after every
@@ -38,8 +36,8 @@ for, computed here in one flat replay loop with no engine involvement.
 3. **Max-plus drain tail**: once every request has been accepted and no
    same-address chain can form, the remaining completions, acknowledge-
    ments and result write-backs are a pure (max,+) system solved in two
-   :func:`~repro.sim.columns.maxplus_scan` passes
-   (:func:`~repro.sim.columns.pipeline_drain` for the FU, one scan for
+   :func:`maxplus_scan` passes
+   (:func:`pipeline_drain` for the FU, one scan for
    the memory write schedule), collapsing the longest uniform window of
    a run -- the memory-latency shadow at the end -- without visiting it.
 4. **Commit**: only after the whole phase replayed successfully are
@@ -48,8 +46,8 @@ for, computed here in one flat replay loop with no engine involvement.
    ops retired and the clock jumped with
    :meth:`~repro.sim.engine.Simulator.collapse_window`.  A decline at
    any point leaves the model untouched and the caller falls back to
-   ``sim.run()`` under the columnar engine, so equivalence holds
-   unconditionally.
+   ``sim.run()``, which steps exactly like the ``event`` engine, so
+   equivalence holds unconditionally.
 
 Why bit-exactness holds: the replay performs the *same arithmetic in the
 same order* as the scalar model (``combine`` folds issue in FU order,
@@ -61,16 +59,60 @@ legacy and event engines for stats, results and metrics payloads.
 """
 
 from collections import deque
-from heapq import heappop
+
+import numpy as np
 
 from repro.memory.request import ATOMIC_OPS, OP_FETCH_ADD, OP_READ, OP_WRITE, combine
-from repro.sim.columns import maxplus_scan, pipeline_drain
 
 _SUPPORTED_OPS = ATOMIC_OPS | frozenset((OP_READ, OP_WRITE))
 
 #: Visited-cycle budget per window; a replay exceeding it declines and
 #: falls back to the stepping engine (which has its own deadlock bound).
 MAX_VISITED = 4_000_000
+
+
+def maxplus_scan(releases, gap, init=None):
+    """Service-start times of a single server under a (max,+) recurrence.
+
+    A pipeline stage that accepts at most one item per `gap` cycles and
+    cannot serve an item before its release cycle follows::
+
+        s[0] = max(releases[0], init + gap)
+        s[k] = max(releases[k], s[k-1] + gap)
+
+    (`init` is the start cycle of the item served *before* the window;
+    ``None`` means the server starts idle and unconstrained.)  This is a
+    max-plus prefix product, computed exactly in one vector pass by the
+    running-max identity ``s[k] = gap*k + max_{j<=k}(releases[j] - gap*j)``
+    -- pure int64 arithmetic, so the result is bit-identical to the scalar
+    fold for any cycle counts a simulation can produce.  Empty inputs
+    return an empty array (a zero-length window collapses to nothing).
+    """
+    releases = np.asarray(releases, dtype=np.int64)
+    if releases.size == 0:
+        return releases.copy()
+    gap = np.int64(gap)
+    offsets = gap * np.arange(releases.size, dtype=np.int64)
+    shifted = releases - offsets
+    if init is not None:
+        shifted[0] = max(shifted[0], np.int64(init) + gap)
+    return np.maximum.accumulate(shifted) + offsets
+
+
+def pipeline_drain(releases, issue_gap, latency, last_issue=None):
+    """Issue and completion schedule of a fixed-latency pipeline drain.
+
+    Given token release cycles (sorted ascending), an in-order pipeline
+    issuing at most one token per `issue_gap` cycles with a fixed
+    `latency`, returns ``(issues, completions)`` where ``issues`` is the
+    :func:`maxplus_scan` of the releases and ``completions = issues +
+    latency``.  `last_issue` seeds the recurrence with the pipeline's
+    final pre-window issue cycle.  This is the closed form the fast-forward
+    engine uses for the scatter-add unit's drain tail, where every
+    remaining token is known and no structural hazard can intervene.
+    """
+    issues = maxplus_scan(releases, issue_gap, init=last_issue)
+    return issues, issues + np.int64(latency)
 
 
 class PipelineFastForward:
@@ -101,19 +143,12 @@ class PipelineFastForward:
         if unit is None or not sim.fastforward:
             return False
         if self.memsys.banks:
-            # Cached topology: per-bank windows are future work (the
-            # CacheBank.uniform_window_ready predicate exists for them);
-            # the replay only models the uniform pipeline.
+            # Cached topology: the replay only models the uniform pipeline.
             return False
         if sim.live_probes or unit.trace is not None or unit.tracer is not None:
             return False  # observation hooks read intermediate state
         if not unit.chaining:
-            return False  # memory round-trip ablation: columnar handles it
-        timed = sim._timed
-        while timed and timed[0][3] == "dead":
-            heappop(timed)
-        if timed:
-            return False
+            return False  # memory round-trip ablation: stepped instead
         if not (unit.window_quiescent and self.mem.uniform_window_ready()):
             return False
         router = self.router
@@ -198,7 +233,6 @@ class PipelineFastForward:
         occ_observed = {}  # occupancy value -> count (histogram plan)
         active = set()
         stall_since = None
-        accept_after = unit._accept_after
         fu_last_issue = unit.fu._last_issue
         fu_lat = unit.fu.latency
         sau_retry = deque()  # (code, addr, value, reply_kind, oi, idx)
@@ -384,7 +418,6 @@ class PipelineFastForward:
                         req_in.popleft()
                         n_bypassed += 1
                         mem_push(t + 1, op_code[oi], addr, value, 2, oi, idx)
-                        accept_after = t
                         work = True
                     # else back-pressure: keep the head
                 elif store_occ >= store_cap:
@@ -416,7 +449,6 @@ class PipelineFastForward:
                         else:
                             sau_retry.append((OP_READ, addr, 0.0, 1, oi, idx))
                         n_value_reads += 1
-                    accept_after = t
                     work = True
 
             # --- router handler (last in registration order) -------------
@@ -664,7 +696,6 @@ class PipelineFastForward:
             for occupancy in sorted(occ_observed):
                 store._occupancy_hist.observe(occupancy,
                                               occ_observed[occupancy])
-        unit._accept_after = accept_after
         unit.fu._last_issue = fu_last_issue
         if mem_counts[0]:
             mem._m_reads.inc(mem_counts[0])

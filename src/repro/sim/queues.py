@@ -43,10 +43,6 @@ class FIFO:
         self._readers = []  # components woken when data arrives
         self._writers = []  # components woken when a full queue frees
         self._dirty = False  # staged pushes pending (engine sync list)
-        # Entries consumed early by a columnar batch whose capacity /
-        # wake bookkeeping is deferred to the exact cycle the scalar path
-        # would have popped them (released by the engine's timed-op heap).
-        self._phantom = 0
 
     def __len__(self):
         """Number of committed (poppable) entries."""
@@ -54,8 +50,8 @@ class FIFO:
 
     @property
     def occupancy(self):
-        """Total entries held, committed plus staged (plus phantom slots)."""
-        return len(self._committed) + len(self._staged) + self._phantom
+        """Total entries held, committed plus staged."""
+        return len(self._committed) + len(self._staged)
 
     def can_push(self, count=1):
         """True if `count` more entries fit this cycle."""
@@ -69,8 +65,7 @@ class FIFO:
             raise OverflowError(
                 "push to full FIFO %r (capacity %d)" % (self.name, self.capacity)
             )
-        was_idle = (not self._committed and not self._staged
-                    and not self._phantom)
+        was_idle = not self._committed and not self._staged
         self._staged.append(item)
         self.total_pushed += 1
         if self._engine is not None:
@@ -94,31 +89,6 @@ class FIFO:
             self._engine._fifo_popped(self, was_full, self.idle)
         return item
 
-    def pop_early(self):
-        """Consume the oldest committed entry now, deferring bookkeeping.
-
-        Columnar batch paths use this to take an item they have logically
-        processed ahead of time: the entry leaves the deque immediately,
-        but it keeps holding a *phantom* capacity slot (so occupancy,
-        back-pressure and idle accounting are unchanged) until the engine
-        services the matching :meth:`Simulator.schedule_pop_release` at
-        the exact cycle the scalar path would have popped.
-
-        Falls back to the staged half once the committed half is empty:
-        a staged entry's content is already decided, and FIFO order means
-        taking it now is the same as popping it after it commits (the
-        release must then be scheduled no earlier than its commit cycle).
-        """
-        self.total_popped += 1
-        self._phantom += 1
-        if self._committed:
-            return self._committed.popleft()
-        if self._staged:
-            return self._staged.popleft()
-        self.total_popped -= 1
-        self._phantom -= 1
-        raise IndexError("pop_early from empty FIFO %r" % (self.name,))
-
     def sync(self):
         """Commit staged pushes.  Called by the simulator between cycles."""
         if self._staged:
@@ -127,9 +97,8 @@ class FIFO:
 
     @property
     def idle(self):
-        """True when the queue holds nothing at all (phantoms included)."""
-        return (not self._committed and not self._staged
-                and not self._phantom)
+        """True when the queue holds nothing at all."""
+        return not self._committed and not self._staged
 
     def drain(self):
         """Pop and return every committed entry (bulk helper for tests)."""

@@ -32,6 +32,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--method", "magic"])
 
+    def test_engine_choices_follow_the_scheduler_registry(self):
+        from repro.sim.engine import SCHEDULERS
+
+        # Every scheduler the service accepts (fastforward included)
+        # parses for submit; bench times one stepping engine or all.
+        for engine in SCHEDULERS:
+            args = build_parser().parse_args(["submit", "--engine", engine])
+            assert args.engine == engine
+        for engine in ("event", "fastforward", "all"):
+            args = build_parser().parse_args(["bench", "--engine", engine])
+            assert args.engine == engine
+        for engine in ("legacy", "both"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", "--engine", engine])
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -119,26 +134,23 @@ class TestBench:
         for entry in workloads.values():
             # Every scheduler simulates the identical workload.
             assert entry["event"]["cycles"] == entry["legacy"]["cycles"]
-            assert entry["columnar"]["cycles"] == entry["event"]["cycles"]
             assert entry["fastforward"]["cycles"] == entry["event"]["cycles"]
             assert entry["event"]["cycles_per_second"] > 0
             assert entry["speedup"] > 0
-            assert entry["columnar_speedup"] > 0
             assert entry["fastforward_speedup"] > 0
         printed = capsys.readouterr().out
         assert "event/legacy" in printed
-        assert "columnar/event" in printed
         assert "fastforward/event" in printed
 
     def test_bench_single_engine_has_no_speedup_column(self, capsys,
                                                        tmp_path):
         out = tmp_path / "bench.json"
         assert main(["bench", "--smoke", "--repeats", "1",
-                     "--engine", "columnar", "--out", str(out)]) == 0
+                     "--engine", "fastforward", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["engines"] == ["columnar"]
+        assert report["engines"] == ["fastforward"]
         for entry in report["workloads"].values():
-            assert set(entry) == {"columnar"}
+            assert set(entry) == {"fastforward"}
 
 
 def _bench_entry(cycles, wall):

@@ -139,8 +139,8 @@ class TestSimulationConfigForms:
         from repro.sim import engine as _engine
 
         assert Simulation(engine="legacy").describe()["engine"] == "legacy"
-        with _engine.use_scheduler("columnar"):
-            assert Simulation().describe()["engine"] == "columnar"
+        with _engine.use_scheduler("fastforward"):
+            assert Simulation().describe()["engine"] == "fastforward"
 
 
 class TestDeprecationFunnel:

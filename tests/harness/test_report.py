@@ -38,28 +38,3 @@ class TestEngineSummary:
             run = simulate_scatter_add([3, 1, 2] * 50, 1.0, num_targets=8)
         line = engine_summary(run.stats)
         assert "engine[event]:" in line
-
-    def test_columnar_run_reports_batching_family(self):
-        import random
-
-        from repro.api import simulate_scatter_add
-        from repro.config import MachineConfig
-
-        rng = random.Random(5)
-        indices = [rng.randrange(65536) for _ in range(256)]
-        config = MachineConfig.uniform(latency=256, interval=2)
-        with use_scheduler("columnar"):
-            run = simulate_scatter_add(indices, 1.0, num_targets=65536,
-                                       config=config)
-        line = engine_summary(run.stats)
-        assert line.startswith("engine[columnar]:")
-        assert "bursts" in line
-        assert "acks coalesced" in line
-
-    def test_columnar_dict_without_family_omits_segment(self):
-        line = engine_summary({
-            "engine.scheduler_columnar": 1,
-            "engine.cycles_executed": 10,
-        })
-        assert line.startswith("engine[columnar]:")
-        assert "bursts" not in line

@@ -8,12 +8,14 @@ equivalence contracts of the redesign:
 - combine-site ``memory`` on the degenerate crossbar is *bit-exactly*
   the legacy scalar-kwargs machine (randomized differential sweep, same
   engine on both sides so only the config spelling differs);
-- every scheduler agrees on the new modes' cycle counts, statistics and
-  results (cross-engine sweep at four nodes).
+- every scheduler agrees with ``legacy`` on the new modes' cycle counts,
+  statistics and results (an exhaustive seed scan at four nodes, plus a
+  property-based differential over the fabric's knobs).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import MachineConfig, NetworkConfig
 from repro.core.combining_store import NETWORK_COMBINABLE_OPS, CombiningTable
@@ -28,18 +30,16 @@ from repro.memory.request import (
 )
 from repro.multinode.system import MultiNodeSystem
 from repro.network.fabric import NetworkMetrics, Switch, build_network
-from repro.sim.engine import Simulator, use_scheduler
+from repro.sim.engine import SCHEDULERS, Simulator
 from repro.sim.stats import Stats
 
-ENGINES = ("legacy", "event", "columnar", "fastforward")
-
-#: Stats prefixes that legitimately differ between schedulers.
-ENGINE_PREFIXES = ("engine.", "sim.columnar")
+ENGINES = ("legacy",) + tuple(s for s in SCHEDULERS if s != "legacy")
 
 
 def _strip_engine(stats):
+    """Stats minus the ``engine.*`` counters, which describe the engine."""
     return {key: value for key, value in stats.as_dict().items()
-            if not key.startswith(ENGINE_PREFIXES)}
+            if not key.startswith("engine.")}
 
 
 def _reference(indices, values, targets):
@@ -319,8 +319,52 @@ class TestDifferentialLegacyEquivalence:
         np.testing.assert_array_equal(structured[2], legacy[2])
 
 
+def _engine_mismatches(config, indices, targets):
+    """Run every engine on one trace; describe each difference to legacy.
+
+    Compares the cycle count, the full stats bag (minus ``engine.*``) and
+    the result array.  Returns a list of ``"<engine>: <what>"`` strings,
+    empty when every engine is bit-identical to ``legacy``.
+    """
+    runs = {}
+    for engine in ENGINES:
+        system = MultiNodeSystem(config, address_space=targets,
+                                 engine=engine)
+        run_ = system.scatter_add(indices, 1.0, num_targets=targets)
+        runs[engine] = (run_.cycles, _strip_engine(run_.stats), run_.result)
+    cycles_ref, stats_ref, result_ref = runs["legacy"]
+    np.testing.assert_array_equal(
+        result_ref, _reference(indices, 1.0, targets))
+    mismatches = []
+    for engine in ENGINES[1:]:
+        cycles, stats, result = runs[engine]
+        if cycles != cycles_ref:
+            mismatches.append("%s: cycles %d != %d"
+                              % (engine, cycles, cycles_ref))
+        differing = sorted(key for key in set(stats) | set(stats_ref)
+                           if stats.get(key) != stats_ref.get(key))
+        if differing:
+            mismatches.append("%s: stats %s" % (engine, ", ".join(differing)))
+        if not np.array_equal(result, result_ref):
+            mismatches.append("%s: result" % engine)
+    return mismatches
+
+
+def _fabric_config(topology, site, link_bw_words, cache_combining=False):
+    return MachineConfig(
+        cache_combining=cache_combining,
+        network=NetworkConfig(nodes=4, topology=topology, combine_site=site,
+                              link_bw_words=link_bw_words))
+
+
 class TestCrossEngineEquivalence:
-    """All four schedulers agree on the new fabric modes."""
+    """Every scheduler matches ``legacy`` on the fabric modes, any seed.
+
+    Each case scans seeds 0-15 of a skewed 4-node trace (16 seeds x 5
+    topology/site cases = 80 runs per engine) and requires zero
+    mismatches: chained congestion at ``combine_site=memory|both`` is
+    where a scheduler that pre-executes work drifts first.
+    """
 
     @pytest.mark.parametrize("topology,site", [
         ("crossbar", "network"),
@@ -330,35 +374,34 @@ class TestCrossEngineEquivalence:
         ("tree", "both"),
     ])
     def test_four_nodes(self, topology, site):
-        # Seed pinned to a trace where the columnar cached-multinode
-        # path's counter drift under chained congestion (a latent
-        # scheduler issue predating the fabric, visible on the legacy
-        # scalar-kwargs path too) does not trigger, so the strong
-        # full-stats contract can be asserted for every engine.
-        rng = np.random.default_rng(15)
         targets = 64
-        indices = _skewed_trace(rng, 160, targets)
-        config = MachineConfig(network=NetworkConfig(
-            nodes=4, topology=topology, combine_site=site,
-            link_bw_words=2))
+        config = _fabric_config(topology, site, link_bw_words=2)
+        mismatches = []
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            indices = _skewed_trace(rng, 160, targets)
+            mismatches.extend("seed %d %s" % (seed, mismatch) for mismatch
+                              in _engine_mismatches(config, indices, targets))
+        assert mismatches == []
 
-        def run():
-            system = MultiNodeSystem(config, address_space=targets)
-            run_ = system.scatter_add(indices, 1.0, num_targets=targets)
-            return run_.cycles, _strip_engine(run_.stats), run_.result
 
-        runs = {}
-        for engine in ENGINES:
-            with use_scheduler(engine):
-                runs[engine] = run()
-        cycles_ref, stats_ref, result_ref = runs["legacy"]
-        np.testing.assert_array_equal(
-            result_ref, _reference(indices, 1.0, targets))
-        for engine in ENGINES[1:]:
-            cycles, stats, result = runs[engine]
-            assert cycles == cycles_ref, engine
-            assert stats == stats_ref, engine
-            np.testing.assert_array_equal(result, result_ref, engine)
+class TestCrossEngineDifferential:
+    """Property-based differential against the ``legacy`` oracle."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           topology=st.sampled_from(["crossbar", "tree"]),
+           site=st.sampled_from(["memory", "network", "both"]),
+           link_bw_words=st.sampled_from([1, 2, 4, 8]),
+           cache_combining=st.booleans())
+    def test_matches_legacy(self, seed, topology, site, link_bw_words,
+                            cache_combining):
+        targets = 64
+        rng = np.random.default_rng(seed)
+        indices = _skewed_trace(rng, 120, targets)
+        config = _fabric_config(topology, site, link_bw_words,
+                                cache_combining)
+        assert _engine_mismatches(config, indices, targets) == []
 
 
 class TestCombiningReducesHomeTraffic:

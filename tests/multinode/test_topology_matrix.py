@@ -15,7 +15,7 @@ import pytest
 
 from repro.config import MachineConfig, NetworkConfig
 from repro.multinode.system import MultiNodeSystem
-from repro.sim.engine import use_scheduler
+from repro.sim.engine import SCHEDULERS, use_scheduler
 
 #: Matrix value -> NetworkConfig keywords.
 TOPOLOGIES = {
@@ -59,7 +59,7 @@ class TestTopologyMatrix:
         indices, targets = trace
         config = MachineConfig(network=network)
         cycles = {}
-        for engine in ("legacy", "event", "columnar", "fastforward"):
+        for engine in SCHEDULERS:
             with use_scheduler(engine):
                 system = MultiNodeSystem(config, address_space=targets)
                 run = system.scatter_add(indices, 1.0,

@@ -119,18 +119,20 @@ class TestKeyStability:
         """Engines are bit-identical but deliberately part of the key."""
         event = base_spec(sim={"config": MachineConfig.uniform().to_dict(),
                                "engine": "event"})
-        columnar = base_spec(sim={"config":
-                                  MachineConfig.uniform().to_dict(),
-                                  "engine": "columnar"})
-        assert key_of(event) != key_of(columnar)
+        fastforward = base_spec(sim={"config":
+                                     MachineConfig.uniform().to_dict(),
+                                     "engine": "fastforward"})
+        assert key_of(event) != key_of(fastforward)
 
     def test_default_engine_resolves_before_hashing(self):
         """engine omitted == engine pinned to the process default."""
         implicit = base_spec()
-        with _engine.use_scheduler("columnar"):
+        other = next(engine for engine in _engine.SCHEDULERS
+                     if engine != _engine.DEFAULT_SCHEDULER)
+        with _engine.use_scheduler(other):
             resolved = key_of(implicit)
         pinned = base_spec(sim={"config": MachineConfig.uniform().to_dict(),
-                                "engine": "columnar"})
+                                "engine": other})
         assert resolved == key_of(pinned)
         assert resolved != key_of(implicit)  # back on the default engine
 
@@ -173,6 +175,15 @@ class TestValidation:
 
     def test_job_error_is_value_error(self):
         assert issubclass(JobError, ValueError)
+
+    def test_retired_engine_names_the_valid_ones(self):
+        spec = base_spec(sim={"config": None, "engine": "columnar"})
+        with pytest.raises(JobError) as error:
+            canonical_job(spec)
+        message = str(error.value)
+        assert "unknown engine" in message
+        for engine in _engine.SCHEDULERS:
+            assert engine in message
 
 
 class TestPointJobs:

@@ -275,6 +275,13 @@ class TestHttp:
             service.submit(job_spec(op="scatter_div"))
         assert bad_spec.value.status == 400
 
+        # A retired scheduler name is a schema error naming the valid
+        # engines, not a crash in the worker.
+        with pytest.raises(ServiceError) as retired:
+            service.submit(job_spec(sim={"engine": "columnar"}))
+        assert retired.value.status == 400
+        assert "fastforward" in str(retired.value)
+
         with pytest.raises(ServiceError) as missing:
             service.status("j999999")
         assert missing.value.status == 404

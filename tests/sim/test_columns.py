@@ -1,21 +1,28 @@
-"""Columnar batch kernels match the scalar combining algebra exactly.
+"""Array-at-a-time folds match the scalar combining algebra exactly.
 
-The array-at-a-time hot paths (:mod:`repro.sim.columns`) fold combining
-operations with numpy ufuncs; the scalar reference
-(:func:`repro.memory.request.combine`) folds one request at a time.
-Both must agree bit-for-bit -- including the awkward cases: duplicate
-indices in one batch, min/max ties (and signed-zero ties), the empty
-batch, and the single-request batch.
+The numpy references (:func:`repro.api.scatter_op_reference`) fold a
+whole index column with ``np.ufunc.at``; the simulator folds one request
+at a time with :func:`repro.memory.request.combine`.  Every functional
+result is checked against those references, so both must agree
+bit-for-bit -- including the awkward cases: duplicate indices in one
+batch, min/max ties (and signed-zero ties), the empty batch, and the
+single-request batch.  The chain tests cover the simulator's side: a
+same-address chain through the scatter-add unit keeps the bit pattern
+of the scalar left fold at every step.
 """
 
 import numpy as np
 import pytest
 
+from repro.api import scatter_op_reference
+from repro.config import MachineConfig
 from repro.memory.request import (OP_FETCH_ADD, OP_SCATTER_ADD,
                                   OP_SCATTER_MAX, OP_SCATTER_MIN,
                                   OP_SCATTER_MUL, MemoryRequest, combine,
                                   identity_value)
-from repro.sim.columns import AckBatch, RequestPool, chain_prefix, combine_batch
+from repro.node.agu import StreamMemOp
+from repro.node.processor import StreamProcessor
+from repro.node.program import Phase, StreamProgram
 
 OPS = (OP_SCATTER_ADD, OP_SCATTER_MIN, OP_SCATTER_MAX,
        OP_SCATTER_MUL, OP_FETCH_ADD)
@@ -37,8 +44,7 @@ class TestCombineBatch:
         indices = np.array([3, 3, 3, 1, 3, 1, 0, 3])
         operands = rng.normal(size=len(indices))
         expected = _scalar_fold(op, target, indices, operands)
-        got = np.array(target)
-        combine_batch(op, got, indices, operands)
+        got = scatter_op_reference(op, target, indices, operands)
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("op", (OP_SCATTER_MIN, OP_SCATTER_MAX))
@@ -50,23 +56,21 @@ class TestCombineBatch:
         indices = np.array([0, 0, 1, 1, 2, 2])
         operands = np.array([2.0, 2.0, -1.0, -1.0, -0.0, 0.0])
         expected = _scalar_fold(op, target, indices, operands)
-        got = np.array(target)
-        combine_batch(op, got, indices, operands)
+        got = scatter_op_reference(op, target, indices, operands)
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("op", OPS)
     def test_empty_batch(self, op):
         target = np.array([1.0, 2.0, 3.0])
-        got = np.array(target)
-        combine_batch(op, got, np.array([], dtype=np.int64),
-                      np.array([], dtype=np.float64))
+        got = scatter_op_reference(op, target, np.array([], dtype=np.int64),
+                                   np.array([], dtype=np.float64))
         np.testing.assert_array_equal(got, target)
 
     @pytest.mark.parametrize("op", OPS)
     def test_single_request_batch(self, op):
         target = np.array([4.0, -2.5])
-        got = np.array(target)
-        combine_batch(op, got, np.array([1]), np.array([0.75]))
+        got = scatter_op_reference(op, target, np.array([1]),
+                                   np.array([0.75]))
         expected = _scalar_fold(op, target, [1], [0.75])
         np.testing.assert_array_equal(got, expected)
 
@@ -76,8 +80,7 @@ class TestCombineBatch:
                   else np.full(4, 2.0))
         indices = np.array([2, 2, 0, 2])
         expected = _scalar_fold(op, target, indices, [1.5] * 4)
-        got = np.array(target)
-        combine_batch(op, got, indices, 1.5)
+        got = scatter_op_reference(op, target, indices, 1.5)
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("op", OPS)
@@ -85,9 +88,8 @@ class TestCombineBatch:
         rng = np.random.default_rng(7)
         target = rng.normal(size=5)
         indices = np.array([0, 1, 2, 3, 4])
-        got = np.array(target)
-        combine_batch(op, got, indices,
-                      np.full(5, identity_value(op)))
+        got = scatter_op_reference(op, target, indices,
+                                   np.full(5, identity_value(op)))
         np.testing.assert_array_equal(got, target)
 
     @pytest.mark.parametrize("op", OPS)
@@ -97,9 +99,18 @@ class TestCombineBatch:
         indices = rng.integers(0, 32, size=500)
         operands = rng.normal(size=500)
         expected = _scalar_fold(op, target, indices, operands)
-        got = np.array(target)
-        combine_batch(op, got, indices, operands)
+        got = scatter_op_reference(op, target, indices, operands)
         np.testing.assert_array_equal(got, expected)
+
+
+def _simulated_chain(op, start, operands):
+    """Run one same-address stream op; returns (op.result, final word)."""
+    processor = StreamProcessor(MachineConfig.table1())
+    processor.load_array(0, np.array([start]))
+    stream = StreamMemOp(op, [0] * len(operands),
+                         [float(operand) for operand in operands])
+    processor.run(StreamProgram([Phase([stream])]))
+    return stream.result, float(processor.read_result(0, 1)[0])
 
 
 class TestChainPrefix:
@@ -108,14 +119,19 @@ class TestChainPrefix:
         rng = np.random.default_rng(13)
         start = float(rng.normal())
         operands = rng.normal(size=9)
-        prefixes = chain_prefix(op, start, operands)
-        running = start
-        for position, operand in enumerate(operands):
-            running = combine(op, running, float(operand))
-            assert prefixes[position] == running
+        returned, final = _simulated_chain(op, start, operands)
+        prefixes = [start]
+        for operand in operands:
+            prefixes.append(combine(op, prefixes[-1], float(operand)))
+        assert final == prefixes[-1]
+        if op == OP_FETCH_ADD:
+            # Fetch-add returns the value each update found: every
+            # intermediate prefix of the chain, in stream order.
+            assert returned == prefixes[:-1]
 
     def test_empty_chain(self):
-        assert len(chain_prefix(OP_SCATTER_ADD, 1.0, np.array([]))) == 0
+        returned, final = _simulated_chain(OP_FETCH_ADD, 1.0, [])
+        assert returned == [] and final == 1.0
 
 
 class TestRequestFootprint:
@@ -124,16 +140,3 @@ class TestRequestFootprint:
         assert not hasattr(request, "__dict__")
         with pytest.raises(AttributeError):
             request.arbitrary_attribute = 1
-
-    def test_ack_batch_has_no_dict(self):
-        batch = AckBatch([])
-        assert not hasattr(batch, "__dict__")
-
-    @pytest.mark.parametrize("op", OPS)
-    def test_pooled_requests_have_no_dict(self, op):
-        pool = RequestPool(4)
-        request = pool.acquire(op, addr=3, value=2.0)
-        try:
-            assert not hasattr(request, "__dict__")
-        finally:
-            pool.release(request)

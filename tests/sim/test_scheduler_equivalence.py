@@ -1,12 +1,11 @@
 """Golden equivalence: every scheduler matches legacy bit-exactly.
 
-The event scheduler may only *skip* ticks that are provably no-ops, the
-columnar engine may only batch work whose observable effects it
-reproduces cycle-exactly, and the fast-forward engine may only collapse
-windows whose end state it computes analytically -- so every workload
-must produce bit-identical final cycle counts, statistics (modulo the
-``engine.*`` and ``sim.columnar.*`` observability counters), metrics
-payloads, latency breakdowns and numerical results under all four
+The event scheduler may only *skip* ticks that are provably no-ops, and
+the fast-forward engine may only collapse windows whose end state it
+computes analytically (declined windows step exactly like ``event``) --
+so every workload must produce bit-identical final cycle counts,
+statistics (modulo the ``engine.*`` observability counters), metrics
+payloads, latency breakdowns and numerical results under all three
 schedulers.  These tests run real workloads through each and diff
 everything.
 """
@@ -23,7 +22,7 @@ from repro.sim.engine import SCHEDULERS, use_scheduler
 
 #: Counter/gauge/histogram prefixes that legitimately differ between
 #: schedulers: they describe the engine's own work, not the machine's.
-ENGINE_PREFIXES = ("engine.", "sim.columnar")
+ENGINE_PREFIXES = ("engine.",)
 
 
 def _strip_engine(stats):
@@ -45,7 +44,7 @@ def _strip_metrics(payload):
 def _run_all(fn):
     """Run `fn` under every scheduler; returns {scheduler: result}."""
     runs = {}
-    for scheduler in ("legacy", "event", "columnar", "fastforward"):
+    for scheduler in SCHEDULERS:
         with use_scheduler(scheduler):
             runs[scheduler] = fn()
     return runs
@@ -53,7 +52,7 @@ def _run_all(fn):
 
 def _assert_equivalent(runs):
     cycles_ref, stats_ref, result_ref = runs["legacy"]
-    for scheduler in ("event", "columnar", "fastforward"):
+    for scheduler in ("event", "fastforward"):
         cycles, stats, result = runs[scheduler]
         assert cycles == cycles_ref, scheduler
         assert stats == stats_ref, scheduler
@@ -74,7 +73,7 @@ class TestSingleNode:
         runs = _run_all(run)
         _assert_equivalent(runs)
         expected = scatter_add_reference(np.zeros(512), indices, values)
-        np.testing.assert_allclose(np.asarray(runs["columnar"][2]),
+        np.testing.assert_allclose(np.asarray(runs["event"][2]),
                                    expected, atol=1e-9)
 
     def test_hot_bank_single_address(self):
@@ -127,9 +126,8 @@ class TestSingleNode:
 
     def test_uniform_memory_latency_sensitivity(self):
         # The Figure 11 configuration: long fixed latency over a huge
-        # index range -- the event scheduler's best case and the columnar
-        # engine's hot path (fused SAU bursts, ack batching), so
-        # divergence would show here.
+        # index range -- the event scheduler's best case and the window
+        # the fast-forward engine collapses, so divergence would show here.
         rng = random.Random(5)
         indices = [rng.randrange(65536) for _ in range(512)]
         config = MachineConfig.uniform(latency=256, interval=2)
@@ -144,8 +142,8 @@ class TestSingleNode:
     @pytest.mark.parametrize("op", ["scatter_min", "scatter_max",
                                     "scatter_mul", "fetch_add"])
     def test_non_add_operations(self, op):
-        # The columnar bank window and combining-store batch paths must
-        # honour every combining algebra, not just addition.
+        # Every combining algebra, not just addition, must chain and
+        # combine identically under every scheduler.
         rng = np.random.default_rng(11)
         indices = rng.integers(0, 64, size=600)
         values = rng.normal(size=600)
@@ -187,9 +185,9 @@ class TestMultiNode:
 class TestObservabilityEquivalence:
     """metrics.json and latency breakdowns are engine-independent."""
 
-    # sample_every=0 matters: without live probes the columnar engine
-    # takes its fused/batched paths instead of the exact scalar
-    # fallback, so that variant diffs the batching itself.
+    # Both sample_every values matter: live probes make the fast-forward
+    # engine decline its window, so 0 diffs the collapsed window and 64
+    # diffs the stepped fallback.
     @pytest.mark.parametrize("sample_every", [0, 64])
     @pytest.mark.parametrize("config_name", ["table1", "uniform"])
     def test_metrics_payload_identical(self, config_name, sample_every):
@@ -214,7 +212,7 @@ class TestObservabilityEquivalence:
 
         runs = _run_all(run)
         payload_ref, breakdown_ref = runs["legacy"]
-        for scheduler in ("event", "columnar", "fastforward"):
+        for scheduler in ("event", "fastforward"):
             payload, breakdown = runs[scheduler]
             assert payload == payload_ref, scheduler
             assert breakdown == breakdown_ref, scheduler
@@ -244,20 +242,6 @@ class TestEngineCounters:
         assert stats["engine.ticks_skipped"] == 0
         assert stats["engine.cycles_fast_forwarded"] == 0
 
-    def test_columnar_run_services_timed_ops(self):
-        rng = random.Random(5)
-        indices = [rng.randrange(65536) for _ in range(256)]
-        config = MachineConfig.uniform(latency=256, interval=2)
-        with use_scheduler("columnar"):
-            run_ = simulate_scatter_add(indices, 1.0, num_targets=65536,
-                                        config=config)
-        stats = run_.stats.as_dict()
-        assert stats["engine.scheduler_columnar"] == 1
-        # The fused uniform-memory path replaces per-cycle polling with
-        # timed channel operations, so some must have been serviced.
-        assert stats["engine.timed_ops"] > 0
-        assert stats["engine.cycles_executed"] < run_.cycles
-
     def test_fastforward_run_collapses_windows(self):
         rng = random.Random(5)
         indices = [rng.randrange(65536) for _ in range(256)]
@@ -277,7 +261,7 @@ class TestEngineCounters:
     def test_fastforward_declines_under_observation(self):
         # Live probes read intermediate state at exact cycles, so the
         # uniformity predicate must refuse the window and fall back to
-        # the stepped columnar engine (which is burst-exact).
+        # event stepping.
         rng = random.Random(5)
         indices = [rng.randrange(65536) for _ in range(256)]
         config = MachineConfig.uniform(latency=256, interval=2)
@@ -290,15 +274,14 @@ class TestEngineCounters:
         assert stats["engine.cycles_executed"] > 0
 
     def test_schedulers_registry_is_closed(self):
-        assert set(SCHEDULERS) == {"legacy", "event", "columnar",
-                                   "fastforward"}
+        assert set(SCHEDULERS) == {"legacy", "event", "fastforward"}
 
 
 class TestMaxPlusKernels:
     """Edge cases of the closed-form (max,+) kernels."""
 
     def test_zero_length_window(self):
-        from repro.sim.columns import maxplus_scan, pipeline_drain
+        from repro.sim.fastforward import maxplus_scan, pipeline_drain
 
         empty = maxplus_scan([], 3)
         assert empty.size == 0
@@ -306,7 +289,7 @@ class TestMaxPlusKernels:
         assert issues.size == 0 and dones.size == 0
 
     def test_scan_matches_scalar_fold(self):
-        from repro.sim.columns import maxplus_scan
+        from repro.sim.fastforward import maxplus_scan
 
         rng = random.Random(23)
         for init in (None, 0, 17):
@@ -324,69 +307,9 @@ class TestMaxPlusKernels:
                 assert got.tolist() == expected
 
     def test_single_request_burst(self):
-        from repro.sim.columns import maxplus_scan, pipeline_drain
+        from repro.sim.fastforward import maxplus_scan, pipeline_drain
 
         assert maxplus_scan([42], 3).tolist() == [42]
         assert maxplus_scan([42], 3, init=41).tolist() == [44]
         issues, dones = pipeline_drain([10], 1, 4, last_issue=10)
         assert issues.tolist() == [11] and dones.tolist() == [15]
-
-    @pytest.mark.parametrize("first_is_miss", [True, False],
-                             ids=["row-transition", "row-open"])
-    def test_open_row_burst_matches_stepped_dram(self, first_is_miss):
-        # The closed-form FR-FCFS burst must be bit-identical to
-        # stepping the live DRAM model over the same single-channel,
-        # same-row traffic -- including the row-transition boundary,
-        # where the first access pays the miss latency and the extra
-        # channel occupancy.
-        from repro.memory.backing import MainMemory
-        from repro.memory.dram import DRAMSystem
-        from repro.memory.request import OP_WRITE, MemoryRequest
-        from repro.sim.engine import Component, Simulator
-        from repro.sim.stats import Stats
-
-        config = MachineConfig.table1().with_changes(
-            dram_channels=1, dram_model="rowbuffer",
-            dram_scheduling="frfcfs")
-        sim = Simulator(scheduler="legacy")
-        stats = Stats()
-        dram = DRAMSystem(sim, config, MainMemory(), stats, name="dram")
-        row_base = 3 * config.dram_row_words
-        releases = [1, 2, 3, 9, 40, 41]
-        if not first_is_miss:
-            dram._open_rows[0] = row_base // config.dram_row_words
-
-        completions = []
-        original_schedule = dram._schedule
-
-        def recording_schedule(request, ready_cycle):
-            completions.append(ready_cycle)
-            original_schedule(request, ready_cycle)
-
-        dram._schedule = recording_schedule
-
-        class _Driver(Component):
-            def __init__(self):
-                super().__init__("driver")
-                self.pending = [(release - 1, row_base + k)
-                                for k, release in enumerate(releases)]
-                self.sent = 0
-
-            def tick(self, now):
-                while (self.sent < len(self.pending)
-                       and self.pending[self.sent][0] == now):
-                    dram.req_in.push(
-                        MemoryRequest(OP_WRITE,
-                                      self.pending[self.sent][1],
-                                      value=1.0))
-                    self.sent += 1
-
-            @property
-            def busy(self):
-                return self.sent < len(self.pending)
-
-        sim.register(_Driver())
-        sim.run()
-        __, expected = dram.open_row_burst(releases,
-                                           first_is_miss=first_is_miss)
-        assert completions == expected.tolist()
