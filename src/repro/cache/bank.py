@@ -51,6 +51,15 @@ class _Line:
 class CacheBank(Component):
     """A single cache bank in front of one slice of DRAM.
 
+    :meth:`tick` services one request (hit, miss or MSHR hit) per cycle.
+    ``config.bank_words_per_cycle`` (``width``) paces only the flush: it
+    is the number of lines :meth:`request_flush` evicts per cycle.
+
+    Sets are held sparsely: only sets with a resident line exist, so
+    construction and the whole-bank scans (flush, drain, combining-state
+    check) cost in proportion to the lines the run touched, not to
+    ``cache_sets_per_bank``.
+
     Parameters
     ----------
     sim, config, stats:
@@ -96,7 +105,12 @@ class CacheBank(Component):
         self.req_in = sim.fifo(capacity=8, name=name + ".req_in")
         self.fill_in = sim.fifo(capacity=None, name=name + ".fill_in")
 
-        self._sets = [OrderedDict() for _ in range(self.sets)]  # line_idx -> _Line
+        # Sparse sets: set index -> OrderedDict(line_idx -> _Line), holding
+        # only non-empty sets, so host cost follows the resident lines and
+        # not the modelled capacity.  `_resident` is a min-heap of exactly
+        # the keys of `_sets`; it gives the flush its ascending set order.
+        self._sets = {}
+        self._resident = []
         self._mshrs = {}  # line_idx -> list of waiting MemoryRequest
         self._mshr_issue = deque()  # fills not yet accepted by mem_req_out
         self._evict_retry = deque()  # (line, kind) blocked write-backs/sum-backs
@@ -112,18 +126,24 @@ class CacheBank(Component):
     # ------------------------------------------------------------------ #
     # set bookkeeping
     # ------------------------------------------------------------------ #
-    def _set_of(self, line_idx):
-        return self._sets[(line_idx // self._bank_stride) % self.sets]
+    def _set_index(self, line_idx):
+        return (line_idx // self._bank_stride) % self.sets
 
     def _lookup(self, line_idx):
-        lines = self._set_of(line_idx)
+        lines = self._sets.get(self._set_index(line_idx))
+        if lines is None:
+            return None  # absent set: a miss, and nothing is created
         line = lines.get(line_idx)
         if line is not None:
             lines.move_to_end(line_idx)
         return line
 
     def _install(self, line_idx, line):
-        lines = self._set_of(line_idx)
+        index = self._set_index(line_idx)
+        lines = self._sets.get(index)
+        if lines is None:
+            lines = self._sets[index] = OrderedDict()
+            heapq.heappush(self._resident, index)
         while len(lines) >= self.assoc:
             __, victim = lines.popitem(last=False)
             self._evict(victim)
@@ -291,18 +311,26 @@ class CacheBank(Component):
     def flush_done(self):
         if not self._flushing:
             return True
-        return (not any(self._sets) and not self._evict_retry
+        return (not self._sets and not self._evict_retry
                 and not self._mshrs and self.req_in.idle and self.fill_in.idle)
 
     def _advance_flush(self):
+        # Evict `width` lines per cycle: lowest-index resident set first,
+        # LRU first within it.  Lines installed mid-flush join the heap and
+        # are reached in that same order.  Emptied sets are dropped.
+        sets = self._sets
+        resident = self._resident
         evicted = 0
-        for lines in self._sets:
+        while resident and evicted < self.width:
+            index = resident[0]
+            lines = sets[index]
             while lines and evicted < self.width:
                 __, victim = lines.popitem(last=False)
                 self._evict(victim)
                 evicted += 1
-            if evicted >= self.width:
-                break
+            if not lines:
+                del sets[index]
+                heapq.heappop(resident)
         if self.flush_done:
             self._flushing = False
 
@@ -370,7 +398,7 @@ class CacheBank(Component):
 
     @property
     def resident_lines(self):
-        return sum(len(lines) for lines in self._sets)
+        return sum(len(lines) for lines in self._sets.values())
 
     @property
     def has_combining_state(self):
@@ -379,7 +407,7 @@ class CacheBank(Component):
         Hierarchical combining needs multiple flush waves: flushing one
         node's deltas deposits new deltas at intermediate tree nodes.
         """
-        for lines in self._sets:
+        for lines in self._sets.values():
             for line in lines.values():
                 if line.combining and line.any_dirty:
                     return True
@@ -394,14 +422,17 @@ class CacheBank(Component):
         return line.values[addr - line.base]
 
     def drain_to(self, memory):
-        """Functionally write every dirty word into `memory` (test helper).
+        """Functionally write every dirty word into `memory`.
 
         Combining lines are *added* (sum-back semantics); ordinary lines
-        are written back.  This models an instantaneous flush and is only
-        used to inspect final memory contents after a run.
+        are written back.  This models an instantaneous, timing-free flush.
+        It runs at the end of every simulation, through
+        :meth:`~repro.node.memsys.MemorySystem.drain_to_memory`, before the
+        result is read out of backing memory; tests call it directly too.
+        Resident sets are visited in ascending set index.
         """
-        for lines in self._sets:
-            for line in lines.values():
+        for index in sorted(self._sets):
+            for line in self._sets[index].values():
                 for offset, dirty in enumerate(line.dirty):
                     if not dirty:
                         continue

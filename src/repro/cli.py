@@ -400,12 +400,39 @@ def check_bench_regression(results, baseline,
     return failures
 
 
-def _cmd_bench(args):
-    import json
-    import statistics
+def _time_engines(runner, engines, repeats):
+    """Time `runner` under each engine, interleaving the repeats.
+
+    One untimed warm-up run per engine absorbs import, allocator and
+    cache-warming costs.  The timed repeats then take turns across the
+    engines, and the engine that goes first rotates every round, so host
+    speed drifting during the bench lands on every engine alike instead
+    of reading as a speedup.  Returns ``(cycles, samples)``: the last
+    cycle count and the list of timings (seconds) of each engine.
+    """
     import time
 
     from repro.sim.engine import use_scheduler
+
+    engines = tuple(engines)
+    cycles = {}
+    samples = {engine: [] for engine in engines}
+    for engine in engines:
+        with use_scheduler(engine):
+            cycles[engine] = runner()
+    for round_index in range(repeats):
+        shift = round_index % len(engines)
+        for engine in engines[shift:] + engines[:shift]:
+            with use_scheduler(engine):
+                start = time.perf_counter()
+                cycles[engine] = runner()
+                samples[engine].append(time.perf_counter() - start)
+    return cycles, samples
+
+
+def _cmd_bench(args):
+    import json
+    import statistics
 
     if args.repeats < 1:
         raise SystemExit("bench: --repeats must be at least 1 "
@@ -420,17 +447,12 @@ def _cmd_bench(args):
                "engines": list(engines), "workloads": {}}
     for name, runner in _bench_workloads(args.smoke, network=network):
         entry = {}
+        cycles_of, samples_of = _time_engines(runner, engines, args.repeats)
         for scheduler in engines:
-            with use_scheduler(scheduler):
-                # One untimed warm-up run absorbs import, allocator and
-                # cache-warming costs; the median of the timed reps then
-                # gates --check instead of a single noisy extreme.
-                cycles = runner()
-                samples = []
-                for _ in range(args.repeats):
-                    start = time.perf_counter()
-                    cycles = runner()
-                    samples.append(time.perf_counter() - start)
+            # The median of the timed reps gates --check instead of a
+            # single noisy extreme.
+            cycles = cycles_of[scheduler]
+            samples = samples_of[scheduler]
             wall = statistics.median(samples)
             entry[scheduler] = {
                 "cycles": int(cycles),

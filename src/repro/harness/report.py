@@ -135,9 +135,9 @@ def _component_events(values, config):
             # Scatter-add units complete at most one sum per cycle.
             add(component, value, 1.0)
         elif suffix in ("hits", "misses", "mshr_hits"):
-            # Cache banks service a bounded number of words per cycle.
-            cap = float(config.bank_words_per_cycle) if config else 1.0
-            add(component, value, cap)
+            # Cache banks service one request per cycle; their word width
+            # (bank_words_per_cycle) only paces flush evictions.
+            add(component, value, 1.0)
         elif suffix == "busy_cycles":
             # DRAM / uniform memory: busy channel-cycles.
             if config is not None and key.endswith(".dram.busy_cycles"):

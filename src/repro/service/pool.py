@@ -29,6 +29,7 @@ boundary unambiguously (the same contract the old pool had).
 import collections
 import multiprocessing
 import os
+import signal
 import threading
 from concurrent.futures import Future
 
@@ -42,6 +43,12 @@ class WorkerDied(RuntimeError):
 
 def _worker_main(fn, worker_id, tasks, results):
     """Worker loop: apply `fn` to each task; ``None`` is the stop signal."""
+    # A worker forked after the parent's event loop took over SIGTERM and
+    # SIGINT inherits that handler and its wakeup fd: SIGTERM would neither
+    # kill it nor stay its own.  Restore the defaults.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     while True:
         task = tasks.get()
         if task is None:

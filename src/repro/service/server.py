@@ -43,6 +43,7 @@ and a repeated sweep simulates nothing.
 
 import asyncio
 import json
+import signal
 import time
 
 from repro.service.cache import ResultCache
@@ -459,7 +460,26 @@ async def serve(host, port, cache_dir, workers=None, retries=1,
              "%d worker%s)" % (bound_host, bound_port, server.cache.root,
                                server.workers,
                                "" if server.workers == 1 else "s"))
+    # SIGTERM/SIGINT stop serving so that `close()` shuts the worker pool
+    # down; without this the default handler kills the daemon outright and
+    # leaves its forked workers orphaned.
+    loop = asyncio.get_running_loop()
+    serving = asyncio.ensure_future(server.serve_forever())
+    stopped = []
+
+    def stop():
+        stopped.append(True)
+        serving.cancel()
+
+    signals = (signal.SIGTERM, signal.SIGINT)
+    for signum in signals:
+        loop.add_signal_handler(signum, stop)
     try:
-        await server.serve_forever()
+        await serving
+    except asyncio.CancelledError:
+        if not stopped:
+            raise
     finally:
+        for signum in signals:
+            loop.remove_signal_handler(signum)
         await server.close()

@@ -122,6 +122,31 @@ class TestBench:
         phases = {event["ph"] for event in payload["traceEvents"]}
         assert {"s", "t", "f"} <= phases
 
+    def test_timing_interleaves_engines(self):
+        from repro.cli import _time_engines
+        from repro.sim import engine
+
+        visits = []
+
+        def runner():
+            visits.append(engine.DEFAULT_SCHEDULER)
+            return 10
+
+        cycles, samples = _time_engines(
+            runner, ("legacy", "event", "fastforward"), repeats=4)
+        # One warm-up per engine, then rounds that rotate the first engine
+        # so no engine's timings sit in one block.
+        assert visits == [
+            "legacy", "event", "fastforward",
+            "legacy", "event", "fastforward",
+            "event", "fastforward", "legacy",
+            "fastforward", "legacy", "event",
+            "legacy", "event", "fastforward",
+        ]
+        assert cycles == {"legacy": 10, "event": 10, "fastforward": 10}
+        counts = {name: len(times) for name, times in samples.items()}
+        assert counts == {"legacy": 4, "event": 4, "fastforward": 4}
+
     def test_bench_smoke_writes_report(self, capsys, tmp_path):
         out = tmp_path / "bench.json"
         assert main(["bench", "--smoke", "--repeats", "1",

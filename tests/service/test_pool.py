@@ -6,6 +6,7 @@ behaviour (a marker file tells a respawned worker's retry to succeed).
 """
 
 import os
+import signal
 import time
 
 import pytest
@@ -32,6 +33,11 @@ def die_once(marker_path):
 
 def die_always(item):
     os._exit(23)
+
+
+def signal_dispositions(item):
+    return (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+            signal.getsignal(signal.SIGINT) == signal.default_int_handler)
 
 
 def sleep_briefly(item):
@@ -135,3 +141,17 @@ def _cycles_of(config):
     run = Simulation(config).run("scatter_add", [1, 2, 2, 3], 1.0,
                                  num_targets=5)
     return {"cycles": run.cycles}
+
+
+class TestSignals:
+    def test_workers_do_not_inherit_the_parents_handlers(self):
+        """A daemon's event loop takes over SIGTERM/SIGINT; workers forked
+        after that (respawns) must still die on SIGTERM."""
+        previous = (signal.signal(signal.SIGTERM, lambda *args: None),
+                    signal.signal(signal.SIGINT, lambda *args: None))
+        try:
+            with ForkExecutor(signal_dispositions, workers=1) as pool:
+                assert pool.submit(None).result(timeout=30) == (True, True)
+        finally:
+            signal.signal(signal.SIGTERM, previous[0])
+            signal.signal(signal.SIGINT, previous[1])
